@@ -1,5 +1,5 @@
 .PHONY: install test lint bench bench-smoke bench-golden bench-prefetch \
-	bench-kernels bench-parallel bench-service chaos service-smoke \
+	bench-kernels bench-parallel bench-service perfbench chaos service-smoke \
 	service-chaos examples suite clean \
 	reproduce-smoke reproduce-paper artifact-golden
 
@@ -60,6 +60,17 @@ bench-parallel:
 # availability during a rebuild, typed shedding under overload).
 bench-service:
 	$(PYTHON) -m benchmarks.bench_service
+
+# Smoke run of the repository benchmark (perfbench/README.md): one
+# workload untraced, then traced.  Fails on a wrong or failed operation
+# or a layer entry point perfbench no longer finds; timings not gated.
+WORKLOAD ?= webspam-1pb
+SEED ?= 1
+SECONDS ?= 3
+
+perfbench:
+	$(PYTHON) scripts/perfbench_smoke.py --workload $(WORKLOAD) \
+		--seed $(SEED) --seconds $(SECONDS)
 
 # Chaos gate: the fault-injection / crash-consistency / checkpoint-resume
 # test files, plus an end-to-end crash -> resume through the CLI (exit

@@ -189,7 +189,11 @@ class EMSCC(SCCAlgorithm):
         live: np.ndarray,
         kernel: Optional[ScanKernels] = None,
     ) -> bool:
-        """Contract the SCCs of one memory-sized partition."""
+        """Contract the SCCs of one memory-sized partition.
+
+        Each SCC of two or more supernodes is absorbed into its member of
+        lowest supernode id.  Returns whether anything was contracted.
+        """
         kernel = kernel if kernel is not None else resolve_kernels()
         us = ds.find_many(batch[:, 0].astype(np.int64))
         vs = ds.find_many(batch[:, 1].astype(np.int64))
@@ -205,15 +209,11 @@ class EMSCC(SCCAlgorithm):
             return False
         order = np.argsort(labels, kind="stable")
         boundaries = np.searchsorted(labels[order], np.arange(count + 1))
-        progress = False
         for label in range(count):
             members = nodes[order[boundaries[label] : boundaries[label + 1]]]
-            if members.size < 2:
-                continue
-            rep = int(members[0])
-            kernel.absorb_members(ds, live, members[1:], rep)
-            progress = True
-        return progress
+            if members.size >= 2:
+                kernel.absorb_members(ds, live, members[1:], int(members[0]))
+        return True
 
     @staticmethod
     def _finish_in_memory(
@@ -222,30 +222,12 @@ class EMSCC(SCCAlgorithm):
         live: np.ndarray,
         kernel: Optional[ScanKernels] = None,
     ) -> None:
-        """Load the remaining graph and finish with in-memory Kosaraju."""
-        kernel = kernel if kernel is not None else resolve_kernels()
+        """Load the remaining graph and contract it as one partition."""
         # Sound here only: the caller's budget check proved the remaining
         # graph fits in M before finishing in-memory.
         edges = current.read_all()  # repro: allow[MEM001]
-        if edges.shape[0] == 0:
-            return
-        us = ds.find_many(edges[:, 0].astype(np.int64))
-        vs = ds.find_many(edges[:, 1].astype(np.int64))
-        keep = us != vs
-        us, vs = us[keep], vs[keep]
-        if us.size == 0:
-            return
-        nodes, comp_edges = kernel.compact_pairs(us, vs)
-        local = Digraph(int(nodes.size), comp_edges)
-        labels, count = kosaraju_scc(local)
-        order = np.argsort(labels, kind="stable")
-        boundaries = np.searchsorted(labels[order], np.arange(count + 1))
-        for label in range(count):
-            members = nodes[order[boundaries[label] : boundaries[label + 1]]]
-            if members.size < 2:
-                continue
-            rep = int(members[0])
-            kernel.absorb_members(ds, live, members[1:], rep)
+        if edges.shape[0]:
+            EMSCC._contract_partition(edges, ds, live, kernel)
 
     def _rewrite(
         self,

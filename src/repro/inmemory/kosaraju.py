@@ -3,50 +3,54 @@
 This is the in-memory algorithm the paper's DFS-SCC baseline
 semi-externalizes, and the one Algorithm 8 (1PB-SCC) runs on each
 in-memory batch.  Implemented from scratch with explicit stacks.
+
+Both passes run on Python lists: the CSR arrays are converted once with
+``.tolist()``, because every element read from a numpy array boxes a
+fresh scalar object, which costs several times a list read in a loop
+that touches each edge (see "CPU cost model" in ``docs/algorithms.md``).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.graph.digraph import Digraph
 
 
-def _finish_order(graph: Digraph) -> np.ndarray:
-    """Nodes in increasing DFS finish time (the first pass)."""
-    n = graph.num_nodes
-    indptr = graph.indptr
-    indices = graph.indices
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    filled = 0
+def _finish_order(indptr: List[int], indices: List[int]) -> List[int]:
+    """Nodes in increasing DFS finish time (the first pass).
+
+    Roots are tried in id order and successors in CSR order; the stack
+    holds ``(node, cursor)`` pairs, ``cursor`` being the index into
+    ``indices`` of the next successor to try.
+    """
+    n = len(indptr) - 1
+    visited = [False] * n
+    order: List[int] = []
+    finish = order.append
+    stack: List[Tuple[int, int]] = []
+    push = stack.append
+    pop = stack.pop
     for root in range(n):
         if visited[root]:
             continue
         visited[root] = True
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v = frame[0]
-            start = indptr[v]
+        push((root, indptr[root]))
+        while stack:
+            v, cursor = pop()
             end = indptr[v + 1]
-            descended = False
-            offset = frame[1]
-            while start + offset < end:
-                w = int(indices[start + offset])
-                offset += 1
+            while cursor < end:
+                w = indices[cursor]
+                cursor += 1
                 if not visited[w]:
                     visited[w] = True
-                    frame[1] = offset
-                    work.append([w, 0])
-                    descended = True
+                    push((v, cursor))
+                    push((w, indptr[w]))
                     break
-            if not descended:
-                work.pop()
-                order[filled] = v
-                filled += 1
+            else:
+                finish(v)
     return order
 
 
@@ -58,29 +62,26 @@ def kosaraju_scc(graph: Digraph) -> Tuple[np.ndarray, int]:
     which is a *topological* order of the condensation (the reverse of
     Tarjan's labelling convention).
     """
-    n = graph.num_nodes
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return labels, 0
-
-    order = _finish_order(graph)
+    order = _finish_order(graph.indptr.tolist(), graph.indices.tolist())
     reverse = graph.reverse()
-    indptr = reverse.indptr
-    indices = reverse.indices
+    indptr = reverse.indptr.tolist()
+    indices = reverse.indices.tolist()
 
+    labels = [-1] * graph.num_nodes
     scc_count = 0
-    for v in order[::-1]:
-        v = int(v)
+    stack: List[int] = []
+    push = stack.append
+    pop = stack.pop
+    for v in reversed(order):
         if labels[v] != -1:
             continue
         labels[v] = scc_count
-        stack = [v]
+        push(v)
         while stack:
-            u = stack.pop()
+            u = pop()
             for w in indices[indptr[u] : indptr[u + 1]]:
-                w = int(w)
                 if labels[w] == -1:
                     labels[w] = scc_count
-                    stack.append(w)
+                    push(w)
         scc_count += 1
-    return labels, scc_count
+    return np.array(labels, dtype=np.int64), scc_count

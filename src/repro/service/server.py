@@ -668,6 +668,14 @@ class SCCServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
+            # Each response is its own sendall; with Nagle on, the second
+            # response of a pipelined burst would wait for the client's
+            # delayed ACK (~40 ms).
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # the peer already hung up
+                conn.close()
+                continue
             with self._conns_lock:
                 self._conns.append(conn)
             thread = threading.Thread(

@@ -6,7 +6,7 @@ on random graphs is the foundation the rest of the test suite builds on.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core.validate import partitions_equal
 from repro.graph.digraph import Digraph
@@ -90,6 +90,86 @@ class TestLabelOrderConventions:
             # Every edge goes from a lower (or equal) label to a higher.
             mapped = labels[g.edges.astype(np.int64)]
             assert (mapped[:, 0] <= mapped[:, 1]).all()
+
+
+def reference_kosaraju(graph):
+    """Textbook recursive Kosaraju, the label contract spelled out.
+
+    Roots in id order, successors in CSR order, and SCC labels handed
+    out in decreasing finish order of the first pass.  Recursion limits
+    it to small graphs.
+    """
+    n = graph.num_nodes
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    successors = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
+    predecessors = [[] for _ in range(n)]
+    for v in range(n):
+        for w in successors[v]:
+            predecessors[w].append(v)
+
+    visited = [False] * n
+    finished = []
+
+    def visit(v):
+        visited[v] = True
+        for w in successors[v]:
+            if not visited[w]:
+                visit(w)
+        finished.append(v)
+
+    for v in range(n):
+        if not visited[v]:
+            visit(v)
+
+    labels = np.full(n, -1, dtype=np.int64)
+
+    def assign(v, label):
+        labels[v] = label
+        for u in predecessors[v]:
+            if labels[u] == -1:
+                assign(u, label)
+
+    count = 0
+    for v in reversed(finished):
+        if labels[v] == -1:
+            assign(v, count)
+            count += 1
+    return labels, count
+
+
+class TestKosarajuExactLabels:
+    """The labels themselves are a contract, not just the partition.
+
+    1PB-SCC rebuilds its tree by a DP sweep in label order and EM-SCC
+    groups members by label, so a relabelling could change counted I/O.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_digraphs())
+    @example(graph=Digraph(0))
+    @example(graph=Digraph(1))
+    @example(graph=Digraph(1, np.array([[0, 0]])))
+    @example(graph=Digraph(4, np.array([[0, 1], [0, 1], [1, 0], [2, 2]])))
+    def test_matches_recursive_reference(self, graph):
+        labels, count = kosaraju_scc(graph)
+        expected, expected_count = reference_kosaraju(graph)
+        assert count == expected_count
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, expected)
+
+    def test_long_path_stays_iterative(self):
+        n = 50_000
+        edges = np.column_stack((np.arange(n - 1), np.arange(1, n)))
+        labels, count = kosaraju_scc(Digraph(n, edges))
+        assert count == n
+        assert np.array_equal(labels, np.arange(n))
+
+    def test_long_cycle_stays_iterative(self):
+        n = 50_000
+        edges = np.column_stack((np.arange(n), (np.arange(n) + 1) % n))
+        labels, count = kosaraju_scc(Digraph(n, edges))
+        assert count == 1
+        assert not labels.any()
 
 
 class TestCrossAgreement:

@@ -95,6 +95,21 @@ class TestServing:
             assert health["state"] == "serving" and not health["stale"]
             assert health["num_sccs"] == 3
 
+    def test_both_ends_disable_nagle(self, served):
+        # Responses go out one sendall each; with Nagle on, the second
+        # response of a pipelined burst waits for the delayed ACK.
+        server = served()
+        wait_until_ready("127.0.0.1", server.port)
+        with ServiceClient("127.0.0.1", server.port) as client:
+            client.health()  # answered, so the accept loop registered it
+            # Holding the lock keeps closing connections from closing
+            # their socket under us (they unregister first).
+            with server._conns_lock:
+                sockets = list(server._conns) + [client._sock]
+                assert len(sockets) >= 2
+                for sock in sockets:
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
     def test_out_of_range_and_bad_requests_are_typed(self, served):
         server = served()
         wait_until_ready("127.0.0.1", server.port)
